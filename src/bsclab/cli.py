@@ -558,7 +558,11 @@ def _cmd_verify(args) -> int:
     ch = ChannelBSC(args.p)
     rates = _rates_of(args, ch)
     if args.rates is None and args.rate is None:
-        rates = [0.05, 0.2, 0.3]
+        C = capacity(ch)
+        rates = [R for R in (0.05, 0.2, 0.3) if R < C]
+        if not rates:
+            raise ValueError(f"every default rate 0.05, 0.2, 0.3 is at or above capacity {C!r}; "
+                             "give --rate or --rates")
     grid = _n_grid_of(args, "512..8192:geometric")
     report = run_verify(args.p, rates, grid, args.trials, args.seed, samples=args.samples)
     text = json.dumps(report.to_dict(), indent=2) + "\n"

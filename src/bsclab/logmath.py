@@ -7,6 +7,7 @@ that downstream arithmetic never has to defend against it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -68,18 +69,17 @@ def _as_float(x) -> float:
     return x.value if isinstance(x, LogReal) else float(x)
 
 
-def log1mexp(v: float) -> float:
-    """ln(1 - e^v) for v <= 0, with the usual branch switch at -ln 2."""
-    v = _as_float(v)
-    if v > 0:
+def log1mexp(v):
+    """ln(1 - e^v) for v <= 0, with the usual branch switch at -ln 2.
+
+    Works elementwise on an array; a scalar argument gives a float.
+    """
+    x = np.asarray(_as_float(v) if isinstance(v, LogReal) else v, dtype=np.float64)
+    if np.any(x > 0):
         raise ValueError("log1mexp requires v <= 0")
-    if v == 0.0:
-        return NEG_INF
-    if v == NEG_INF:
-        return 0.0
-    if v > -LN2:
-        return math.log(-math.expm1(v))
-    return math.log1p(-math.exp(v))
+    with np.errstate(divide="ignore"):
+        out = np.where(x > -LN2, np.log(-np.expm1(x)), np.log1p(-np.exp(x)))
+    return float(out) if out.ndim == 0 else out
 
 
 def log_sum_exp(values: Iterable) -> LogReal:
@@ -133,30 +133,34 @@ class BinomialTable:
 
     def log_cdf_half(self, d: int) -> float:
         """ln P{Bin(n, 1/2) <= d} as a plain float."""
+        if not 0 <= d <= self.n:
+            raise ValueError(f"d={d} outside 0..{self.n}")
+        return float(self.log_cdf_half_range(d, d + 1)[0])
+
+    def log_cdf_half_range(self, start: int, stop: int) -> np.ndarray:
+        """ln P{Bin(n, 1/2) <= d} for d = start..stop-1, as a new array.
+
+        Below the median it is the partial sum itself; above it, the
+        complement of the smaller tail, P{X > d} = P{X <= n-d-1}.
+        """
         n = self.n
-        if not 0 <= d <= n:
-            raise ValueError(f"d={d} outside 0..{n}")
-        if d == n:
-            return 0.0
+        if not 0 <= start <= stop <= n + 1:
+            raise ValueError(f"range {start}..{stop - 1} outside 0..{n}")
         ln_total = n * LN2
-        if d >= (n + 1) // 2:
-            # complement through the smaller tail: P{X > d} = P{X <= n-d-1}
-            return log1mexp(float(self._log_partial[n - d - 1]) - ln_total)
-        return float(self._log_partial[d]) - ln_total
+        mid = min(max((n + 1) // 2, start), stop)
+        top = min(stop, n)  # d = n has no complement tail: F = 1
+        out = np.zeros(stop - start)
+        out[: mid - start] = self._log_partial[start:mid] - ln_total
+        if top > mid:
+            tail = self._log_partial[n - top : n - mid][::-1]
+            out[mid - start : top - start] = log1mexp(tail - ln_total)
+        return out
 
 
-_TABLE_CACHE: dict[int, BinomialTable] = {}
-
-
+@functools.lru_cache(maxsize=32)
 def binomial_table(n: int) -> BinomialTable:
     """Shared per-n table; tables are immutable once built."""
-    tab = _TABLE_CACHE.get(n)
-    if tab is None:
-        tab = BinomialTable(n)
-        if len(_TABLE_CACHE) > 32:
-            _TABLE_CACHE.clear()
-        _TABLE_CACHE[n] = tab
-    return tab
+    return BinomialTable(n)
 
 
 def log_binomial_cdf(table: BinomialTable, d: int) -> LogReal:

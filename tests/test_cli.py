@@ -163,6 +163,18 @@ class TestVerify:
                       "--samples", "50", "--out", str(tmp_path / "v.json")])
         assert rc == 0
 
+    def test_default_rates_stop_below_capacity(self, tmp_path):
+        # capacity at p = 0.2 is 0.193, so only the default rate 0.05 stays
+        out = tmp_path / "v.json"
+        rc = run_cli(["verify", "--p", "0.2", "--n-grid", "64,128,256", "--trials", "2000",
+                      "--samples", "50", "--out", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["inputs"]["rates"] == [0.05]
+
+    def test_no_default_rate_below_capacity(self, capsys):
+        assert run_cli(["verify", "--p", "0.4"]) == 2
+        assert "capacity" in capsys.readouterr().err
+
     def test_table_sizes_match_inputs(self, report):
         assert len(report.branch_table) == 3
         assert len(report.oracle_slopes) == 3

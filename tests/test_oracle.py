@@ -127,6 +127,12 @@ class TestStructure:
         res = exact_error_probability(8, math.log(4), 0.5, TiePolicy.TIES_AS_ERROR)
         assert res.below_radius_mass is None
 
+    @pytest.mark.parametrize("log_M", [0.1, 0.3, math.log(1.4)])
+    def test_below_radius_mass_none_when_M_rounds_below_two(self, log_M):
+        res = exact_error_probability(50, log_M, 0.1, TiePolicy.TIES_AS_ERROR)
+        assert res.below_radius_mass is None
+        assert res.log_Pe.value < 0.0
+
     def test_result_fields(self):
         res = exact_error_probability(8, math.log(4), 0.1, TiePolicy.RANDOM_TIE_BREAK)
         assert isinstance(res, OracleResult)
@@ -140,6 +146,38 @@ class TestStructure:
             exact_error_probability(4, -1.0, 0.1, TiePolicy.TIES_AS_ERROR)
         with pytest.raises(ValueError):
             error_prob_given_distance(4, 1.0, 5, TiePolicy.TIES_AS_ERROR)
+
+
+class TestRandomTieBreakRegressions:
+    """Cells where the random tie-break once went wrong, pinned to mpmath at
+    ceil(n log10 2) + 150 digits (M = round(e^(Rn)) when Rn <= 40, else
+    e^(ln M) unrounded)."""
+
+    def test_series_for_integer_M_near_1e9(self):
+        # M = round(e^20.48): once sent to the cancelling complement path
+        lm = log_codebook_size(0.02, 1024)
+        got = exact_error_probability(1024, lm, 0.1, TiePolicy.RANDOM_TIE_BREAK).log_Pe.value
+        assert got == pytest.approx(-211.91523909793702, rel=1e-12)
+
+    def test_series_where_ln_s_underflows(self):
+        # ln M > 708: ln s = ln(1 - F_d) underflows to 0 while K F_d is O(1)
+        got = exact_error_probability(1280, 768.0, 0.01, TiePolicy.RANDOM_TIE_BREAK).log_Pe.value
+        assert got == pytest.approx(-6.553560257505727, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [4096, 16384])
+    def test_within_ln2_below_ties_as_error(self, n):
+        lm = log_codebook_size(0.3, n)
+        err = exact_error_probability(n, lm, 0.1, TiePolicy.TIES_AS_ERROR).log_Pe.value
+        rnd = exact_error_probability(n, lm, 0.1, TiePolicy.RANDOM_TIE_BREAK).log_Pe.value
+        assert err - LN2 <= rnd <= err
+
+    @pytest.mark.parametrize(
+        "n, p, want", [(500, 0.01, -249.4512022474756), (2048, 0.3, -80.81838719169063)]
+    )
+    def test_non_integer_M_above_term_cap(self, n, p, want):
+        # M = e^10, not an integer, with K far above the series' term cap
+        got = exact_error_probability(n, 10.0, p, TiePolicy.RANDOM_TIE_BREAK).log_Pe.value
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestCodebookSize:
